@@ -21,30 +21,33 @@ struct lock_params {
   std::uint64_t pass_limit = 64;  // cohort may-pass-local bound (§3.7)
 };
 
-// Uniform lock/unlock shims: some simulated locks are context-free.
+// Uniform lock/unlock shims: some simulated locks are context-free.  They
+// hand back the lock's own task rather than awaiting it in a coroutine of
+// their own, so an acquire or release costs no extra frame.  Every
+// registered lock's lock/unlock returns task<void> and try_lock task<bool>.
 template <typename Lock, typename Ctx>
 task<void> do_lock(Lock& l, thread_ctx& t, Ctx& c) {
   if constexpr (requires { l.lock(t, c); })
-    co_await l.lock(t, c);
+    return l.lock(t, c);
   else
-    co_await l.lock(t);
+    return l.lock(t);
 }
 
 template <typename Lock, typename Ctx>
 task<void> do_unlock(Lock& l, thread_ctx& t, Ctx& c) {
   if constexpr (requires { l.unlock(t, c); })
-    co_await l.unlock(t, c);
+    return l.unlock(t, c);
   else
-    co_await l.unlock(t);
+    return l.unlock(t);
 }
 
 // try-lock shim for the abortable locks (A-CLH, A-HBO, A-C-BO-*).
 template <typename Lock, typename Ctx>
 task<bool> do_try_lock(Lock& l, thread_ctx& t, Ctx& c, tick deadline_at) {
   if constexpr (requires { l.try_lock(t, c, deadline_at); })
-    co_return co_await l.try_lock(t, c, deadline_at);
+    return l.try_lock(t, c, deadline_at);
   else
-    co_return co_await l.try_lock(t, deadline_at);
+    return l.try_lock(t, deadline_at);
 }
 
 // Average cohort batch length when the lock exposes cohort stats; 0 else.

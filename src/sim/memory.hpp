@@ -53,9 +53,9 @@ class dataline {
     unsigned cluster;
     bool is_write;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
+    bool await_suspend(std::coroutine_handle<> h) const {
       const tick d = line_access(*eng, *line, cluster, is_write);
-      eng->schedule_resume(eng->now() + d, h);
+      return eng->resume_at(eng->now() + d, h);
     }
     void await_resume() const noexcept {}
   };
@@ -96,9 +96,11 @@ class atom {
     unsigned cluster;
     bool is_write;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
+    // Continues inline when the completion would be the next event anyway
+    // (engine::resume_at).
+    bool await_suspend(std::coroutine_handle<> h) const {
       const tick d = line_access(*a->eng_, a->line_, cluster, is_write);
-      a->eng_->schedule_resume(a->eng_->now() + d, h);
+      return a->eng_->resume_at(a->eng_->now() + d, h);
     }
     // Value mutation and waiter wake-up happen at the access's *completion*
     // event (await_resume).  Waking at completion (not issue) is what makes

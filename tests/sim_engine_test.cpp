@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -54,6 +55,107 @@ TEST(Engine, HardStopBoundsRun) {
   }(t));
   eng.run(10'000);
   EXPECT_LE(eng.now(), 10'000u);
+}
+
+// ---- calendar queue edges ----------------------------------------------------
+
+// An event scheduled from far away (the heap) and one scheduled later from
+// near by (a bucket) for the same tick fire in scheduling order.
+TEST(Engine, FarEventFiresBeforeNearEventOnSameTick) {
+  engine eng(test_cfg());
+  const tick due = engine::near_window + 1000;
+  std::vector<std::pair<int, tick>> fired;
+  auto near_by = [&]() -> task<void> {
+    co_await eng.delay(2000);
+    co_await eng.delay(due - 2000);  // near: scheduled at 2000
+    fired.emplace_back(2, eng.now());
+  };
+  auto far_away = [&]() -> task<void> {
+    co_await eng.delay(due);  // far: scheduled at 0
+    fired.emplace_back(1, eng.now());
+  };
+  eng.spawn(near_by());
+  eng.spawn(far_away());
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, tick>>{{1, due}, {2, due}}));
+}
+
+// One tick inside the near window goes to a bucket (which, from a
+// non-aligned now(), wraps round the ring); exactly at the edge goes to the
+// heap.  Both land on their exact tick, and a bucket event for the edge
+// tick fires after the heap event scheduled before it.
+TEST(Engine, EventsLandExactlyAtNearWindowEdges) {
+  engine eng(test_cfg());
+  constexpr tick w = engine::near_window;
+  std::vector<std::pair<int, tick>> fired;
+  auto mk = [&](int id, tick first, tick then) -> task<void> {
+    co_await eng.delay(first);
+    co_await eng.delay(then);
+    fired.emplace_back(id, eng.now());
+  };
+  eng.spawn(mk(1, 3000, w - 1));  // bucket, one tick inside the window
+  eng.spawn(mk(2, 3000, w));      // heap, exactly at the edge
+  eng.spawn(mk(3, 3001, w - 1));  // bucket, same tick as 2
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, tick>>{
+                       {1, 3000 + w - 1}, {2, 3000 + w}, {3, 3000 + w}}));
+}
+
+// A lone coroutine continues inline (no other event is queued), but never
+// past the run's hard stop; the next run() picks up where it stopped.
+TEST(Engine, InlineContinuationRespectsHardStop) {
+  engine eng(test_cfg());
+  auto& t = eng.add_thread(0);
+  std::vector<tick> delays;
+  eng.spawn([](thread_ctx& th, std::vector<tick>& seen) -> task<void> {
+    for (;;) {
+      co_await th.eng->delay(100);
+      seen.push_back(th.eng->now());
+    }
+  }(t, delays));
+  eng.run(1050);
+  EXPECT_EQ(eng.now(), 1000u);
+  ASSERT_EQ(delays.size(), 10u);
+  eng.run(2000);
+  EXPECT_EQ(eng.now(), 2000u);
+  ASSERT_EQ(delays.size(), 20u);
+  for (std::size_t i = 0; i < delays.size(); ++i)
+    EXPECT_EQ(delays[i], 100 * (i + 1));
+
+  // Memory accesses take the same path: local hits every local_hit ns.
+  engine eng2(test_cfg());
+  auto& t2 = eng2.add_thread(0);
+  atom b(eng2, 0);
+  std::vector<tick> accesses;
+  eng2.spawn([](thread_ctx& th, atom& x,
+                std::vector<tick>& seen) -> task<void> {
+    for (;;) {
+      co_await x.fetch_add(th, 1);
+      seen.push_back(th.eng->now());
+    }
+  }(t2, b, accesses));
+  const tick cold = eng2.cfg().cold_miss, hit = eng2.cfg().local_hit;
+  eng2.run(cold + 10 * hit + hit / 2);
+  EXPECT_EQ(b.peek(), 11u);
+  eng2.run(cold + 20 * hit);
+  EXPECT_EQ(b.peek(), 21u);
+  ASSERT_EQ(accesses.size(), 21u);
+  for (std::size_t i = 0; i < accesses.size(); ++i)
+    EXPECT_EQ(accesses[i], cold + hit * i);
+}
+
+TEST(EngineDeathTest, SchedulingInThePastAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts are compiled out (NDEBUG)";
+#endif
+  EXPECT_DEATH(
+      {
+        engine eng(test_cfg());
+        eng.spawn([](engine& e) -> task<void> { co_await e.delay(1000); }(eng));
+        eng.run();
+        eng.schedule_resume(500, std::noop_coroutine());
+      },
+      "past");
 }
 
 TEST(Memory, AtomOpsHaveSequentialSemantics) {
