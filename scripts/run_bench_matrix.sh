@@ -12,10 +12,9 @@
 # differing only in numa_place, so a real NUMA box can diff first-touch
 # placement against lock-carried NUMA awareness directly), a lock x threads
 # sweep of the "kvnet" served workload (the same mix through loopback
-# sockets and the epoll front-end), an adaptive-vs-best-uniform kv ablation
-# pair (uniform keys and Zipf skew, the adaptive ladder against each of its
-# uniform rungs), and every registry lock on the "alloc" (mmicro) workload
-# plus a Zipf size-class ablation pair, merged into one JSON array.  Every record carries windows[] batch-length telemetry; kv
+# sockets and the epoll front-end), and every registry lock on the "alloc"
+# (mmicro) workload plus a Zipf size-class ablation pair, merged into one
+# JSON array.  Every record carries windows[] batch-length telemetry; kv
 # and kvnet records add per-shard hit-rate per window.
 #
 #   scripts/run_bench_matrix.sh [--dry-run] [out.json]
@@ -55,12 +54,6 @@
 #   FP_REENGAGE_DRAINS reengage_drains axis          (default: "1 4 16")
 #   ALLOC_SIZE_ZIPF   theta for the alloc size-class ablation (default: 1.1)
 #   ALLOC_ZIPF_LOCKS  locks for that ablation (default: pthread C-TKT-TKT)
-#   ADAPT_LOCKS    locks for the adaptive-vs-best-uniform kv ablation
-#                        (default: adaptive plus each of its uniform rungs
-#                         TATAS C-BO-MCS-fp C-BO-MCS; cross-checked below
-#                         against family=adaptive in --list-locks)
-#   ADAPT_ZIPF     key-skew theta for the ablation's skewed half (default: 1.1)
-#   ADAPT_SHARDS   engine shards for the adaptive ablation     (default: 8)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -90,9 +83,6 @@ FP_FISSION_LIMITS=${FP_FISSION_LIMITS:-2 8 32}
 FP_REENGAGE_DRAINS=${FP_REENGAGE_DRAINS:-1 4 16}
 ALLOC_SIZE_ZIPF=${ALLOC_SIZE_ZIPF:-1.1}
 ALLOC_ZIPF_LOCKS=${ALLOC_ZIPF_LOCKS:-pthread C-TKT-TKT}
-ADAPT_LOCKS=${ADAPT_LOCKS:-adaptive TATAS C-BO-MCS-fp C-BO-MCS}
-ADAPT_ZIPF=${ADAPT_ZIPF:-1.1}
-ADAPT_SHARDS=${ADAPT_SHARDS:-8}
 
 # Contention sweep axis: each fast-path lock, its non-fp baseline, and the
 # TATAS reference, at 1 thread (uncontended latency), 2 (first contention),
@@ -135,7 +125,7 @@ for lock in $KV_LOCKS; do
     exit 1
   fi
 done
-for lock in $NET_LOCKS $FP_HYST_LOCK $ALLOC_ZIPF_LOCKS $ADAPT_LOCKS; do
+for lock in $NET_LOCKS $FP_HYST_LOCK $ALLOC_ZIPF_LOCKS; do
   if ! printf '%s\n' "${ALL_LOCKS[@]}" | grep -qx "$lock"; then
     echo "error: NET/FP/ALLOC lock '$lock' is not a registry lock (see $BENCH --list)" >&2
     exit 1
@@ -168,17 +158,6 @@ GCR_LOCKS=$("$BENCH" --list-locks | awk -F'\t' '$2 == "gcr" { print $1 }')
 for lock in $GCR_LOCKS; do
   if ! grep -qxF "$lock" <(printf '%s\n' $SWEEP_LOCKS); then
     echo "error: gcr lock '$lock' missing from SWEEP_LOCKS (descriptor says family=gcr; see $BENCH --list-locks)" >&2
-    exit 1
-  fi
-done
-
-# And for the adaptive ladder: every family=adaptive lock must be on the
-# adaptive ablation axis, so the adaptive-vs-best-uniform contrast always
-# covers whatever the registry grows in that family.
-ADAPTIVE_LOCKS=$("$BENCH" --list-locks | awk -F'\t' '$2 == "adaptive" { print $1 }')
-for lock in $ADAPTIVE_LOCKS; do
-  if ! grep -qxF "$lock" <(printf '%s\n' $ADAPT_LOCKS); then
-    echo "error: adaptive lock '$lock' missing from ADAPT_LOCKS (descriptor says family=adaptive; see $BENCH --list-locks)" >&2
     exit 1
   fi
 done
@@ -245,21 +224,6 @@ for t in $NET_THREADS; do
     --threads "$t" --shards "$NET_SHARDS" --io-threads "$NET_IO_THREADS" \
     --duration "$DURATION" --reps "$REPS" --json
 done
-
-# Adaptive-vs-best-uniform ablation pair: the adaptive ladder against each
-# of its uniform rungs on the kv workload, once with uniform keys and once
-# under Zipf skew.  The skewed half is the headline: per-shard contention is
-# heterogeneous, so the uniform rungs each lose somewhere while the adaptive
-# lock escalates only the hot shards (per_shard[].current_policy in the
-# records shows the split).
-adapt_lock_args=()
-for lock in $ADAPT_LOCKS; do adapt_lock_args+=(--lock "$lock"); done
-run "$tmpdir/kv-adaptive-uniform.json" --workload kv "${adapt_lock_args[@]}" \
-  --threads "$THREADS" --shards "$ADAPT_SHARDS" --duration "$DURATION" \
-  --reps "$REPS" --json
-run "$tmpdir/kv-adaptive-zipf.json" --workload kv "${adapt_lock_args[@]}" \
-  --threads "$THREADS" --shards "$ADAPT_SHARDS" --zipf "$ADAPT_ZIPF" \
-  --duration "$DURATION" --reps "$REPS" --json
 
 # Allocator matrix: every registry lock on the mmicro loop (Table 2's axis).
 run "$tmpdir/alloc.json" --workload alloc --all --threads "$THREADS" \

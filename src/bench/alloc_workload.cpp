@@ -1,8 +1,7 @@
 // The "alloc" workload: mmicro's allocate/write/free loop (paper §4.3,
 // Table 2) against the real single-lock splay-tree arena, measured under
 // the shared windowed skeleton.  Size class, working-set size, arena
-// capacity, lock name and per-cluster arena placement are all runtime axes;
-// the same loop backs bench/real_allocator.cpp via alloc_workload.hpp.
+// capacity, lock name and per-cluster arena placement are all runtime axes.
 #include <memory>
 #include <stdexcept>
 

@@ -1,11 +1,7 @@
-// Shared pieces of the "alloc" benchmark workload (DESIGN.md §4): the
-// arena placement policy and mmicro's per-thread allocate/write/free loop.
-// Header-only templates so both consumers monomorphise the hot path:
-//
-//   * run_alloc_bench (alloc_workload.cpp) -- the windowed cohort_bench
-//     workload, lock dispatched by registry name;
-//   * bench/real_allocator.cpp -- the google-benchmark wrapper around the
-//     identical loop, so there is exactly one allocator implementation.
+// Pieces of the "alloc" benchmark workload (DESIGN.md §4): the arena
+// placement policy and mmicro's per-thread allocate/write/free loop.
+// Templates over the lock type, so run_alloc_bench (alloc_workload.cpp)
+// monomorphises the hot path for the lock it dispatches by registry name.
 //
 // This is the real-machine analogue of the paper's mmicro (Table 2): each
 // thread cycles a fixed working set of live blocks, every step frees the

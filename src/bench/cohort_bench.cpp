@@ -64,19 +64,6 @@ void usage(const char* argv0) {
       "                      (default: COHORT_GCR_ROTATION env, else 1024)\n"
       "  --gcr-tune-window N gcr- releases per hysteresis tuning window\n"
       "                      (default: COHORT_GCR_TUNE_WINDOW env, else 8192)\n"
-      "  --adaptive-window N     adaptive acquisitions per decision window\n"
-      "                          (default: COHORT_ADAPTIVE_WINDOW, else 2048)\n"
-      "  --adaptive-escalate P   contended %% marking a window hot (default:\n"
-      "                          COHORT_ADAPTIVE_ESCALATE env, else 50)\n"
-      "  --adaptive-deescalate P contended %% marking a window cold (default:\n"
-      "                          COHORT_ADAPTIVE_DEESCALATE env, else 10)\n"
-      "  --adaptive-hysteresis N consecutive hot/cold windows before a swap\n"
-      "                          (default: COHORT_ADAPTIVE_HYSTERESIS, else 2)\n"
-      "  --adaptive-max-level N  highest ladder rung, 3 enables the gcr rung\n"
-      "                          (default: COHORT_ADAPTIVE_MAX_LEVEL, else 2)\n"
-      "  --adaptive-gcr-waiters N  pinned waiters required for the gcr rung\n"
-      "                          (default: COHORT_ADAPTIVE_GCR_WAITERS env,\n"
-      "                          else online CPUs)\n"
       "  --net-host H      server address for --smoke/--drive (default\n"
       "                    127.0.0.1)\n"
       "  --net-port P      server port for --smoke/--drive (required)\n"
@@ -136,10 +123,6 @@ int list_locks(const std::string& family) {
     if (d.uses_gcr_knobs) {
       if (!knobs.empty()) knobs += ",";
       knobs += "gcr";
-    }
-    if (d.uses_adaptive_knobs) {
-      if (!knobs.empty()) knobs += ",";
-      knobs += "adaptive";
     }
     if (knobs.empty()) knobs = "-";
     std::printf("%s\t%s\t%s\t%s\t%s\n", d.name.c_str(),
@@ -293,24 +276,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--gcr-tune-window" && parse_unsigned(next(), n) &&
                n > 0) {
       cfg.gcr_tune_window = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-window" && parse_unsigned(next(), n) &&
-               n > 0) {
-      cfg.adaptive_window = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-escalate" && parse_unsigned(next(), n) &&
-               n > 0 && n <= 100) {
-      cfg.adaptive_escalate = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-deescalate" && parse_unsigned(next(), n) &&
-               n > 0 && n <= 100) {
-      cfg.adaptive_deescalate = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-hysteresis" && parse_unsigned(next(), n) &&
-               n > 0) {
-      cfg.adaptive_hysteresis = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-max-level" && parse_unsigned(next(), n) &&
-               n > 0 && n <= 3) {
-      cfg.adaptive_max_level = static_cast<std::uint32_t>(n);
-    } else if (arg == "--adaptive-gcr-waiters" && parse_unsigned(next(), n) &&
-               n > 0) {
-      cfg.adaptive_gcr_waiters = static_cast<std::uint32_t>(n);
     } else if (arg == "--size-zipf" && parse_double(next(), d)) {
       cfg.alloc_size_zipf = d;
     } else if (arg == "--alloc-min" && parse_unsigned(next(), n) && n > 0) {

@@ -33,13 +33,7 @@ inline reg::lock_params lock_params_of(const bench_config& cfg) {
           .gcr = {.min_active = cfg.gcr_min_active,
                   .max_active = cfg.gcr_max_active,
                   .rotation_interval = cfg.gcr_rotation,
-                  .tune_window = cfg.gcr_tune_window},
-          .adaptive = {.window = cfg.adaptive_window,
-                       .escalate_pct = cfg.adaptive_escalate,
-                       .deescalate_pct = cfg.adaptive_deescalate,
-                       .hysteresis = cfg.adaptive_hysteresis,
-                       .max_level = cfg.adaptive_max_level,
-                       .gcr_waiters = cfg.adaptive_gcr_waiters}};
+                  .tune_window = cfg.gcr_tune_window}};
 }
 
 struct alignas(cache_line_size) thread_slot {
@@ -57,11 +51,6 @@ struct alignas(cache_line_size) thread_slot {
 struct shard_probe {
   std::uint64_t gets = 0;
   std::uint64_t get_hits = 0;
-  // Per-shard adaptive-ladder state (0 when the shard lock is not
-  // adaptive): the 1-based rung gauge and the cumulative swap count, read
-  // from the lock's stats() -- race-free there by construction.
-  std::uint64_t current_policy = 0;
-  std::uint64_t policy_switches = 0;
 };
 
 // Server-side counter sample for the served workload (kvnet): the
@@ -303,10 +292,6 @@ inline void fill_window_result(bench_result& res, const window_totals& w) {
       win.parked = b.counters.stats.parked - a.counters.stats.parked;
       win.rotations =
           b.counters.stats.rotations - a.counters.stats.rotations;
-      // Adaptive telemetry: swaps are events (delta), the rung is a gauge.
-      win.policy_switches = b.counters.stats.policy_switches -
-                            a.counters.stats.policy_switches;
-      win.current_policy = b.counters.stats.current_policy;
       // Batch length counts only the slow (cohort) acquisitions a global
       // acquire amortises; fast acquires bypass the global lock entirely.
       const std::uint64_t slow = win.acquisitions - win.fast_acquires;
@@ -344,9 +329,6 @@ inline void fill_window_result(bench_result& res, const window_totals& w) {
         sw.hit_rate = sw.gets > 0 ? static_cast<double>(sw.get_hits) /
                                         static_cast<double>(sw.gets)
                                   : 0.0;
-        sw.current_policy = b.counters.shards[s].current_policy;  // gauge
-        sw.policy_switches = b.counters.shards[s].policy_switches -
-                             a.counters.shards[s].policy_switches;
       }
     }
     res.windows.push_back(std::move(win));

@@ -160,8 +160,6 @@ json cohort_to_json(const reg::erased_stats& s) {
   cs.set("active_target", s.active_target);
   cs.set("parked", s.parked);
   cs.set("rotations", s.rotations);
-  cs.set("policy_switches", s.policy_switches);
-  cs.set("current_policy", s.current_policy);
   cs.set("avg_batch", s.avg_batch());
   return cs;
 }
@@ -174,14 +172,15 @@ json to_json(const bench_result& r) {
   const bool kvnet = r.config.workload == "kvnet";
   const bool alloc = r.config.workload == "alloc";
   json rec = json::object();
-  // Record-shape version for downstream plotting: 1 = pre-adaptive records,
-  // 2 = adaptive telemetry keys (cohort.policy_switches /
-  // cohort.current_policy in the whole-run block and every windows[] entry,
-  // per_shard[].current_policy, adaptive_* knobs), 3 = net robustness keys
+  // Record-shape version for downstream plotting: 1 = original records,
+  // 2 = policy-ladder lock telemetry, 3 = net robustness keys
   // (net.{closed,shed,timeouts,resets,drained,injected_faults,
   // client_retries,drain_clean} and a "net" delta object in kvnet
-  // windows[]).  Bump on any key change.
-  rec.set("schema_version", static_cast<std::uint64_t>(3));
+  // windows[]), 4 = the policy-ladder lock deleted with its schema-2 keys
+  // (cohort.{policy_switches,current_policy} in the whole-run block and in
+  // windows[], per_shard[].{current_policy,policy_switches}, the ladder's
+  // knob echo).  Bump on any key change.
+  rec.set("schema_version", static_cast<std::uint64_t>(4));
   rec.set("workload", r.config.workload);
   rec.set("lock", r.config.lock_name);
   rec.set("threads", r.config.threads);
@@ -260,25 +259,6 @@ json to_json(const bench_result& r) {
       rec.set("gcr_max_active", gp.max_active);
       rec.set("gcr_rotation", gp.rotation_interval);
       rec.set("gcr_tune_window", gp.tune_window);
-    }
-    if (desc != nullptr && desc->uses_adaptive_knobs) {
-      const adaptive_policy ap = reg::effective_adaptive(
-          {.adaptive = {.window = r.config.adaptive_window,
-                        .escalate_pct = r.config.adaptive_escalate,
-                        .deescalate_pct = r.config.adaptive_deescalate,
-                        .hysteresis = r.config.adaptive_hysteresis,
-                        .max_level = r.config.adaptive_max_level,
-                        .gcr_waiters = r.config.adaptive_gcr_waiters}});
-      rec.set("adaptive_window", ap.window);
-      rec.set("adaptive_escalate_pct", ap.escalate_pct);
-      rec.set("adaptive_deescalate_pct", ap.deescalate_pct);
-      rec.set("adaptive_hysteresis", ap.hysteresis);
-      rec.set("adaptive_max_level", ap.max_level);
-      // 0 = resolved to the online CPU count inside the lock.
-      rec.set("adaptive_gcr_waiters", ap.gcr_waiters);
-      json ladder = json::array();
-      for (const char* rung : adaptive_lock::ladder()) ladder.push(rung);
-      rec.set("adaptive_ladder", std::move(ladder));
     }
   }
   rec.set("total_ops", r.total_ops);
@@ -390,8 +370,6 @@ json to_json(const bench_result& r) {
       cj.set("active_target", w.active_target);
       cj.set("parked", w.parked);
       cj.set("rotations", w.rotations);
-      cj.set("policy_switches", w.policy_switches);
-      cj.set("current_policy", w.current_policy);
       cj.set("mean_batch", w.mean_batch);
       wj.set("cohort", std::move(cj));
     }
@@ -417,8 +395,6 @@ json to_json(const bench_result& r) {
         sj.set("gets", sw.gets);
         sj.set("get_hits", sw.get_hits);
         sj.set("hit_rate", sw.hit_rate);
-        sj.set("current_policy", sw.current_policy);
-        sj.set("policy_switches", sw.policy_switches);
         per_shard.push(std::move(sj));
       }
       wj.set("per_shard", std::move(per_shard));

@@ -45,16 +45,6 @@ struct bench_config {
   std::uint32_t gcr_max_active = 0;
   std::uint32_t gcr_rotation = 0;
   std::uint32_t gcr_tune_window = 0;
-  // Monitor knobs for the adaptive lock (locks/adaptive.hpp); 0 = resolve
-  // through the registry default chain (COHORT_ADAPTIVE_* env, then the
-  // compiled adaptive_policy; gcr_waiters additionally defaults to the
-  // online CPU count).
-  std::uint32_t adaptive_window = 0;
-  std::uint32_t adaptive_escalate = 0;
-  std::uint32_t adaptive_deescalate = 0;
-  std::uint32_t adaptive_hysteresis = 0;
-  std::uint32_t adaptive_max_level = 0;
-  std::uint32_t adaptive_gcr_waiters = 0;
   // Pin threads to CPUs of their cluster, one CPU each round-robin, so an
   // oversubscribed run (threads > online CPUs) stacks threads on CPUs
   // deterministically instead of leaving placement to the scheduler.
@@ -146,13 +136,6 @@ struct shard_window {
   std::uint64_t gets = 0;
   std::uint64_t get_hits = 0;
   double hit_rate = 0.0;
-  // Adaptive-ladder state of this shard's lock (locks/adaptive.hpp; 0 for
-  // every other lock): the 1-based rung at the window close (gauge) and the
-  // hot-swaps completed inside the window (delta).  This pair is how the
-  // windows[] trace shows heterogeneity -- hot shards escalated, cold
-  // shards still on the base rung -- which no whole-store aggregate can.
-  std::uint64_t current_policy = 0;
-  std::uint64_t policy_switches = 0;
 };
 
 // One telemetry window: the interval between two mid-run counter samples
@@ -188,12 +171,6 @@ struct bench_window {
   std::uint64_t active_target = 0;
   std::uint64_t parked = 0;
   std::uint64_t rotations = 0;
-  // Adaptive-ladder telemetry (locks/adaptive.hpp; always 0 otherwise):
-  // policy_switches is the hot-swap delta over the window, current_policy
-  // the summed 1-based rung gauge at the window close (for one lock, the
-  // rung itself; for a sharded store, per_shard[] carries the signal).
-  std::uint64_t policy_switches = 0;
-  std::uint64_t current_policy = 0;
   // Mean batch length inside this window: slow acquisitions per global
   // acquire (fast acquires never touch the global lock and are excluded).
   // When the window saw acquisitions but no migration, the batch outlasted

@@ -25,8 +25,6 @@ probe sample_kv_probe(const Store& store) {
     p.shards[s].gets = c.gets.get();
     p.shards[s].get_hits = c.get_hits.get();
     if (auto ls = store.lock_stats(s)) {
-      p.shards[s].current_policy = ls->current_policy;
-      p.shards[s].policy_switches = ls->policy_switches;
       p.stats += *ls;
       p.has_stats = true;
     }

@@ -1,10 +1,9 @@
 // The "kv" workload: the memaslap-style get/set mix against the sharded kv
 // engine (DESIGN.md §3-4), measured under the shared windowed skeleton.
 // The mix itself and every operation live in the shared command layer
-// (kvstore/command.hpp) -- the same implementation behind
-// bench/real_kvstore.cpp and the network server -- so this file only binds
-// it to the driver.  Shard count, lock name, get ratio, keyspace and NUMA
-// placement are all runtime axes.
+// (kvstore/command.hpp) -- the same implementation behind the network
+// server -- so this file only binds it to the driver.  Shard count, lock
+// name, get ratio, keyspace and NUMA placement are all runtime axes.
 #include <stdexcept>
 
 #include "bench/driver.hpp"

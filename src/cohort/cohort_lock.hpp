@@ -59,14 +59,6 @@ struct cohort_stats {
   std::uint64_t active_target = 0;  // tuned admission bound (gauge)
   std::uint64_t parked = 0;         // admission rejections that futex-parked
   std::uint64_t rotations = 0;      // fairness grants to the oldest waiter
-  // Adaptive-ladder accounting (locks/adaptive.hpp); always 0 outside the
-  // adaptive wrapper.  policy_switches counts completed hot-swaps;
-  // current_policy is a gauge, the 1-based ladder rung of the live inner
-  // lock at sample time (so 0 distinguishes "not adaptive" from the TATAS
-  // rung).  Summing the gauge across shard locks follows the active_set
-  // idiom: per-shard values carry the signal, the aggregate is a total.
-  std::uint64_t policy_switches = 0;
-  std::uint64_t current_policy = 0;
 
   // Lock migrations in the paper's sense: the global lock moved between
   // clusters.  global_acquires counts them (plus the very first acquire).
@@ -92,8 +84,6 @@ struct cohort_stats {
     active_target += o.active_target;
     parked += o.parked;
     rotations += o.rotations;
-    policy_switches += o.policy_switches;
-    current_policy += o.current_policy;
     return *this;
   }
 };

@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "cohort/locks.hpp"
+#include "util/spin.hpp"
 
 namespace {
 
@@ -34,37 +35,42 @@ constexpr std::size_t table_size = 1u << table_bits;  // 4096 distinct mutexes
 
 struct slot {
   std::atomic<pthread_mutex_t*> owner{nullptr};
-  lock_type* lock = nullptr;
+  // Published by the owner-CAS winner after it claimed the slot; a reader
+  // that sees owner == m before the publish waits for it.
+  std::atomic<lock_type*> lock{nullptr};
 };
 
 struct registry {
   slot slots[table_size];
 
-  lock_type* lookup(pthread_mutex_t* m) {
+  // Slot index holding m's lock (claiming a free slot on first use), or
+  // table_size when the table is full.
+  std::size_t lookup(pthread_mutex_t* m) {
     const std::uintptr_t h =
         (reinterpret_cast<std::uintptr_t>(m) >> 4) * 0x9e3779b97f4a7c15ULL;
     std::size_t i = (h >> (64 - table_bits)) & (table_size - 1);
     for (std::size_t probes = 0; probes < table_size; ++probes) {
       slot& s = slots[i];
       pthread_mutex_t* cur = s.owner.load(std::memory_order_acquire);
-      if (cur == m) return s.lock;
-      if (cur == nullptr) {
-        // Claim the slot; construct the lock first so a racing reader that
-        // observes owner==m also sees the lock pointer.
-        auto* lk = new lock_type;
-        pthread_mutex_t* expected = nullptr;
-        s.lock = lk;  // benign race: only the CAS winner's value is read
-        if (s.owner.compare_exchange_strong(expected, m,
-                                            std::memory_order_release,
-                                            std::memory_order_acquire)) {
-          return lk;
-        }
-        delete lk;
-        if (expected == m) return s.lock;
+      if (cur == nullptr &&
+          s.owner.compare_exchange_strong(cur, m, std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+        s.lock.store(new lock_type, std::memory_order_release);
+        return i;
+      }
+      if (cur == m) {
+        cohort::spin_until([&] {
+          return s.lock.load(std::memory_order_acquire) != nullptr;
+        });
+        return i;
       }
       i = (i + 1) & (table_size - 1);
     }
-    return nullptr;  // table full
+    return table_size;
+  }
+
+  lock_type& lock_at(std::size_t i) {
+    return *slots[i].lock.load(std::memory_order_acquire);
   }
 };
 
@@ -76,27 +82,15 @@ registry& get_registry() {
 // Per-thread acquisition contexts, one per registry slot.
 thread_local lock_type::context tls_ctx[table_size];
 
-std::size_t slot_index(lock_type* lk) {
-  registry& r = get_registry();
-  for (std::size_t i = 0; i < table_size; ++i)
-    if (r.slots[i].lock == lk) return i;
-  return 0;
-}
-
 }  // namespace
 
 extern "C" {
 
 int pthread_mutex_lock(pthread_mutex_t* m) {
   registry& r = get_registry();
-  lock_type* lk = r.lookup(m);
-  if (lk == nullptr) return 0;
-  const std::uintptr_t h =
-      (reinterpret_cast<std::uintptr_t>(m) >> 4) * 0x9e3779b97f4a7c15ULL;
-  std::size_t i = (h >> (64 - table_bits)) & (table_size - 1);
-  // Re-probe to the actual slot index for the context table.
-  while (r.slots[i].lock != lk) i = (i + 1) & (table_size - 1);
-  lk->lock(tls_ctx[i]);
+  const std::size_t i = r.lookup(m);
+  if (i == table_size) return 0;
+  r.lock_at(i).lock(tls_ctx[i]);
   return 0;
 }
 
@@ -108,13 +102,9 @@ int pthread_mutex_trylock(pthread_mutex_t* m) {
 
 int pthread_mutex_unlock(pthread_mutex_t* m) {
   registry& r = get_registry();
-  lock_type* lk = r.lookup(m);
-  if (lk == nullptr) return 0;
-  const std::uintptr_t h =
-      (reinterpret_cast<std::uintptr_t>(m) >> 4) * 0x9e3779b97f4a7c15ULL;
-  std::size_t i = (h >> (64 - table_bits)) & (table_size - 1);
-  while (r.slots[i].lock != lk) i = (i + 1) & (table_size - 1);
-  lk->unlock(tls_ctx[i]);
+  const std::size_t i = r.lookup(m);
+  if (i == table_size) return 0;
+  r.lock_at(i).unlock(tls_ctx[i]);
   return 0;
 }
 

@@ -2,9 +2,8 @@
 // sharded engine with per-op result codes, and the one get/set mix loop
 // behind every load driver.
 //
-// Before this layer each kv consumer open-coded its own get/set mix against
-// the store (`--workload kv`, bench/real_kvstore.cpp, the old server
-// example).  Now exactly one implementation exists:
+// Every kv consumer (`--workload kv`, `--workload kvnet`, the server) goes
+// through exactly one implementation:
 //
 //   * command_executor<Store>  -- binds a store and a per-thread handle and
 //     exposes get/set/del/flush/stats with cmd_status result codes.  Store

@@ -75,7 +75,7 @@ class kv_shard {
         table_(buckets_) {}
 
   // All mutators take the key's fnv1a64 hash so the engine hashes once for
-  // both shard selection (high bits) and bucket selection (low bits).
+  // both shard selection (mixed high bits) and bucket selection (low bits).
 
   std::optional<std::string> get(const std::string& key, std::uint64_t hash) {
     ++stats_.gets;

@@ -1,7 +1,7 @@
 // The type-erased lock handle and the construction-parameter structs --
-// split out of locks/registry.hpp so wrapper locks that *build their inner
-// lock through the registry* (locks/adaptive.hpp) can consume the handle
-// without including the full compile-time entry table they appear in.
+// split out of locks/registry.hpp so code that only decorates or consumes
+// the handle (a timing decorator, say) can use it without including the
+// full compile-time entry table.
 //
 // Everything here is re-exported by registry.hpp; consumers that also need
 // name lookup (with_lock_type, all_locks, find_lock) keep including that.
@@ -47,32 +47,14 @@ struct gcr_knobs {
   std::uint32_t tune_window = 0;
 };
 
-// Policy-ladder knobs for the adaptive lock (locks/adaptive.hpp).  0 means
-// "default": the COHORT_ADAPTIVE_WINDOW / COHORT_ADAPTIVE_ESCALATE /
-// COHORT_ADAPTIVE_DEESCALATE / COHORT_ADAPTIVE_HYSTERESIS /
-// COHORT_ADAPTIVE_MAX_LEVEL / COHORT_ADAPTIVE_GCR_WAITERS environment
-// variables when set, else the compiled adaptive_policy defaults
-// (gcr_waiters additionally resolving 0 to the online CPU count inside the
-// lock).
-struct adaptive_knobs {
-  std::uint32_t window = 0;          // acquisitions per decision window
-  std::uint32_t escalate_pct = 0;    // contended % at/above which a window is hot
-  std::uint32_t deescalate_pct = 0;  // contended % at/below which it is cold
-  std::uint32_t hysteresis = 0;      // consecutive hot/cold windows per swap
-  std::uint32_t max_level = 0;       // highest ladder rung (3 enables gcr)
-  std::uint32_t gcr_waiters = 0;     // pinned-waiter gate for the gcr rung
-};
-
 // Per-family sub-structs: a lock only reads the knobs its family honours
-// (lock_descriptor::uses_pass_limit / uses_fp_knobs / uses_gcr_knobs /
-// uses_adaptive_knobs say which), and JSON records only report honoured
-// knobs.
+// (lock_descriptor::uses_pass_limit / uses_fp_knobs / uses_gcr_knobs say
+// which), and JSON records only report honoured knobs.
 struct lock_params {
   unsigned clusters = 0;  // 0 = ask numa::system_topology()
   cohort_knobs cohort{};
   fastpath_knobs fp{};
   gcr_knobs gcr{};
-  adaptive_knobs adaptive{};
 };
 
 // ---- type-erased handle -----------------------------------------------------

@@ -47,36 +47,11 @@ gcr_policy effective_gcr(const lock_params& lp) {
   return gp;
 }
 
-adaptive_policy effective_adaptive(const lock_params& lp) {
-  adaptive_policy ap;  // compiled defaults (gcr_waiters 0 = online CPUs)
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_WINDOW"); v != 0)
-    ap.window = v;
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_ESCALATE"); v != 0)
-    ap.escalate_pct = v;
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_DEESCALATE"); v != 0)
-    ap.deescalate_pct = v;
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_HYSTERESIS"); v != 0)
-    ap.hysteresis = v;
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_MAX_LEVEL"); v != 0)
-    ap.max_level = v;
-  if (const std::uint32_t v = env_u32("COHORT_ADAPTIVE_GCR_WAITERS"); v != 0)
-    ap.gcr_waiters = v;
-  if (lp.adaptive.window != 0) ap.window = lp.adaptive.window;
-  if (lp.adaptive.escalate_pct != 0) ap.escalate_pct = lp.adaptive.escalate_pct;
-  if (lp.adaptive.deescalate_pct != 0)
-    ap.deescalate_pct = lp.adaptive.deescalate_pct;
-  if (lp.adaptive.hysteresis != 0) ap.hysteresis = lp.adaptive.hysteresis;
-  if (lp.adaptive.max_level != 0) ap.max_level = lp.adaptive.max_level;
-  if (lp.adaptive.gcr_waiters != 0) ap.gcr_waiters = lp.adaptive.gcr_waiters;
-  return ap;
-}
-
 namespace detail {
 
 resolved_params resolve(const lock_params& lp) {
   return {effective_clusters(lp), pass_policy{lp.cohort.pass_limit},
-          effective_fastpath(lp), effective_gcr(lp), effective_adaptive(lp),
-          lp};
+          effective_fastpath(lp), effective_gcr(lp)};
 }
 
 }  // namespace detail
@@ -95,8 +70,6 @@ const char* to_string(lock_family f) {
       return "fp-composite";
     case lock_family::gcr:
       return "gcr";
-    case lock_family::adaptive:
-      return "adaptive";
   }
   return "?";
 }
@@ -176,13 +149,8 @@ lock_descriptor describe(const detail::entry<Maker>& e) {
   d.caps.reports_batch_stats = detail::lock_reports_stats<lock_t>();
   d.uses_pass_limit = e.uses_pass_limit;
   d.uses_fp_knobs = e.uses_fp_knobs;
-  // Derived, not declared, so the flags cannot drift from the family: the
-  // gcr knobs are honoured by the gcr wrappers and by the adaptive ladder
-  // (whose top rung is a gcr- lock); the adaptive monitor knobs only by the
-  // adaptive family itself.
-  d.uses_gcr_knobs =
-      e.family == lock_family::gcr || e.family == lock_family::adaptive;
-  d.uses_adaptive_knobs = e.family == lock_family::adaptive;
+  // Derived, not declared, so the flag cannot drift from the family.
+  d.uses_gcr_knobs = e.family == lock_family::gcr;
   d.summary = e.summary;
   d.make = [name = d.name, maker = e.make](
                const lock_params& lp) -> std::unique_ptr<any_lock> {

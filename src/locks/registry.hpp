@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "cohort/locks.hpp"
-#include "locks/adaptive.hpp"
 #include "locks/any_lock.hpp"
 #include "locks/fcmcs.hpp"
 #include "locks/hbo.hpp"
@@ -48,9 +47,8 @@ namespace cohort::reg {
 
 // ---- construction parameters ------------------------------------------------
 // The knob structs, lock_params, and the type-erased any_lock handle live in
-// locks/any_lock.hpp (so wrapper locks built *through* the registry, like
-// locks/adaptive.hpp, can consume them without the entry table); this header
-// re-exports them.
+// locks/any_lock.hpp (so code that only decorates or consumes the handle can
+// use it without the entry table); this header re-exports them.
 
 // The fastpath_policy the -fp registry entries will be constructed with,
 // after the default chain above resolves.  Exposed so records (JSON) can
@@ -62,12 +60,6 @@ fastpath_policy effective_fastpath(const lock_params& lp);
 // per-construction).
 gcr_policy effective_gcr(const lock_params& lp);
 
-// And the adaptive_policy the adaptive entry will be constructed with; the
-// monitor additionally sanitises (window/hysteresis floors, disjoint
-// escalate/de-escalate bands) and resolves gcr_waiters==0 to the online CPU
-// count per construction.
-adaptive_policy effective_adaptive(const lock_params& lp);
-
 // ---- descriptor metadata ----------------------------------------------------
 
 enum class lock_family : std::uint8_t {
@@ -77,7 +69,6 @@ enum class lock_family : std::uint8_t {
   compact,       // single-word NUMA locks (CNA, Reciprocating)
   fp_composite,  // fissile_lock<Inner> fast-path wrappers ("-fp")
   gcr,           // gcr<Inner> admission wrappers ("gcr-")
-  adaptive,      // contention-driven policy ladder (locks/adaptive.hpp)
 };
 
 const char* to_string(lock_family f);
@@ -96,7 +87,6 @@ struct lock_descriptor {
   bool uses_pass_limit = false;     // honours lock_params::cohort
   bool uses_fp_knobs = false;       // honours lock_params::fp
   bool uses_gcr_knobs = false;      // honours lock_params::gcr
-  bool uses_adaptive_knobs = false; // honours lock_params::adaptive
   std::string summary;              // one line for --list-locks
   std::function<std::unique_ptr<any_lock>(const lock_params&)> make;
 };
@@ -109,16 +99,11 @@ inline unsigned effective_clusters(const lock_params& lp) {
 }
 
 // lock_params with every default chain resolved; what entry makers consume.
-// `base` keeps the unresolved params for wrapper locks (adaptive) that build
-// their inner locks back through make_lock -- each inner construction then
-// re-resolves the same chain, so effective values cannot diverge.
 struct resolved_params {
   unsigned clusters;
   pass_policy pp;
   fastpath_policy fpp;
   gcr_policy gp;
-  adaptive_policy ap;
-  lock_params base;
 };
 
 resolved_params resolve(const lock_params& lp);
@@ -386,17 +371,6 @@ inline const auto& entries() {
             [](const resolved_params& rp) {
               return std::make_unique<gcr_reciprocating_fp_lock>(rp.gp,
                                                                  rp.fpp);
-            }},
-      // -- adaptive policy ladder (locks/adaptive.hpp) -----------------------
-      // Honours the knobs of every rung it can build (pass_limit, fp, gcr)
-      // plus its own monitor knobs.  Not fp_composable: the ladder already
-      // contains the -fp rung, and a fissile gate *outside* the swap
-      // protocol would bypass the version pins.
-      entry{"adaptive", lock_family::adaptive, false, true, true, true,
-            "contention-driven ladder TATAS -> C-BO-MCS-fp -> C-BO-MCS"
-            " (-> gcr-) with quiescent hot-swap",
-            [](const resolved_params& rp) {
-              return std::make_unique<adaptive_lock>(rp.ap, rp.base);
             }},
   };
   return table;

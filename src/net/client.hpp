@@ -1,5 +1,5 @@
 // Blocking memcached-text-protocol client for the served-traffic paths
-// (DESIGN.md §6, resilience in §11): the `--workload kvnet` benchmark
+// (DESIGN.md §6, resilience in §10): the `--workload kvnet` benchmark
 // drives one instance per worker thread over loopback, the CTest protocol
 // suite scripts exchanges with it, and `cohort_bench --workload kvnet
 // --smoke` uses it against an externally started server.

@@ -1,4 +1,4 @@
-// Deterministic fault injection behind the io_ops seam (DESIGN.md §11).
+// Deterministic fault injection behind the io_ops seam (DESIGN.md §10).
 //
 // A fault_plan is a set of per-operation probabilities: on each read the
 // injector may return EINTR, EAGAIN, ECONNRESET, or deliver only a random

@@ -1,4 +1,4 @@
-// The syscall seam of the net layer (DESIGN.md §11): every I/O operation
+// The syscall seam of the net layer (DESIGN.md §10): every I/O operation
 // the server, client, and socket helpers perform on a connection goes
 // through this function table instead of calling the libc wrappers
 // directly.  The default table forwards straight to the real syscalls; the

@@ -1,4 +1,4 @@
-// The kv front-end (DESIGN.md §6, hardening in §11): event-loop worker
+// The kv front-end (DESIGN.md §6, hardening in §10): event-loop worker
 // threads serving the memcached text-protocol subset over the sharded
 // engine, every operation routed through the shared command layer
 // (kvstore/command.hpp).

@@ -1,5 +1,5 @@
 // The fault-injection seam and the server/client robustness machinery
-// (DESIGN.md §11): spec/env parsing, seam install/restore, and -- over real
+// (DESIGN.md §10): spec/env parsing, seam install/restore, and -- over real
 // loopback sockets -- EMFILE accept backoff, slowloris eviction, overload
 // shedding, request caps, graceful and forced drain, client retry, and a
 // seeded chaos soak asserting the close-reason accounting identity.  Runs

@@ -66,24 +66,16 @@ TEST_F(RealRegistryTest, KnobFlagsMatchFamilies) {
   for (const auto& d : all_locks()) {
     // The fast-path hysteresis knobs are honoured by the -fp composites, by
     // gcr wrappers whose INNER is an -fp composite (the knobs pass through
-    // the gate to the wrapped lock), and by the adaptive ladder (whose -fp
-    // rung is built back through the registry).
+    // the gate to the wrapped lock).
     const bool fp_inner =
         d.name.size() > 3 && d.name.rfind("-fp") == d.name.size() - 3;
     EXPECT_EQ(d.uses_fp_knobs, d.family == lock_family::fp_composite ||
-                                   (d.family == lock_family::gcr && fp_inner) ||
-                                   d.family == lock_family::adaptive)
+                                   (d.family == lock_family::gcr && fp_inner))
         << d.name;
-    // The gcr wrappers and the adaptive ladder (opt-in gcr rung) honour the
-    // admission knobs, and an admission gate must never be offered as a
-    // fissile inner (a fast path outside the gate would bypass admission
-    // entirely).
-    EXPECT_EQ(d.uses_gcr_knobs, d.family == lock_family::gcr ||
-                                    d.family == lock_family::adaptive)
-        << d.name;
-    // Exactly the adaptive ladder honours the monitor knobs.
-    EXPECT_EQ(d.uses_adaptive_knobs, d.family == lock_family::adaptive)
-        << d.name;
+    // Exactly the gcr wrappers honour the admission knobs, and an admission
+    // gate must never be offered as a fissile inner (a fast path outside the
+    // gate would bypass admission entirely).
+    EXPECT_EQ(d.uses_gcr_knobs, d.family == lock_family::gcr) << d.name;
     if (d.family == lock_family::gcr) {
       EXPECT_FALSE(d.caps.fp_composable) << d.name;
       EXPECT_TRUE(d.caps.reports_batch_stats) << d.name;
@@ -106,18 +98,6 @@ TEST_F(RealRegistryTest, KnobFlagsMatchFamilies) {
     if (d.family == lock_family::compact) {
       EXPECT_TRUE(d.caps.reports_batch_stats) << d.name;
       EXPECT_TRUE(d.caps.fp_composable) << d.name;
-    }
-    // The adaptive ladder honours every rung's knobs, reports batch stats
-    // (synthesised when the live rung has none), and is neither abortable
-    // (a blocking rung would starve try_lock_for) nor fp_composable (the
-    // ladder already contains the -fp rung; a fissile gate outside the swap
-    // protocol would bypass the version pins).
-    if (d.family == lock_family::adaptive) {
-      EXPECT_TRUE(d.uses_pass_limit) << d.name;
-      EXPECT_TRUE(d.caps.cluster_aware) << d.name;
-      EXPECT_TRUE(d.caps.reports_batch_stats) << d.name;
-      EXPECT_FALSE(d.caps.abortable) << d.name;
-      EXPECT_FALSE(d.caps.fp_composable) << d.name;
     }
   }
 }
@@ -153,17 +133,17 @@ TEST_F(RealRegistryTest, UnknownNameSuggestionsAreClose) {
   ASSERT_FALSE(pre.empty());
   for (const auto& n : pre) EXPECT_EQ(n.substr(0, 4), "C-BO") << n;
   // A one-edit typo lands on the canonical name first.
-  const auto typo = suggest_lock_names("adaptve");
+  const auto typo = suggest_lock_names("reciprocatng");
   ASSERT_FALSE(typo.empty());
-  EXPECT_EQ(typo[0], "adaptive");
+  EXPECT_EQ(typo[0], "reciprocating");
   const auto swapped = suggest_lock_names("C-BO-MSC");
   ASSERT_FALSE(swapped.empty());
   EXPECT_EQ(swapped[0], "C-BO-MCS");
   // Garbage earns no candidates, and the message still points at the list.
   EXPECT_TRUE(suggest_lock_names("qqqqqqqqqqqq").empty());
-  const std::string msg = unknown_lock_message("adaptve");
-  EXPECT_NE(msg.find("unknown lock 'adaptve'"), std::string::npos);
-  EXPECT_NE(msg.find("'adaptive'"), std::string::npos);
+  const std::string msg = unknown_lock_message("reciprocatng");
+  EXPECT_NE(msg.find("unknown lock 'reciprocatng'"), std::string::npos);
+  EXPECT_NE(msg.find("'reciprocating'"), std::string::npos);
   EXPECT_NE(unknown_lock_message("qqqqqqqqqqqq").find("--list-locks"),
             std::string::npos);
   // Suggestions never invent names.

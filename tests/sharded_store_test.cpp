@@ -21,6 +21,34 @@ std::string owned_key(int t, int i) {
   return "t" + std::to_string(t) + "-" + std::to_string(i);
 }
 
+// Shard selection must spread short, sequential keys evenly: the
+// benchmark keyspaces are "key:<i>", whose raw FNV-1a high bits are poorly
+// mixed.  Every shard must hold within 10% of the mean, checked both by
+// shard_of() and by where the items actually land.
+TEST(ShardedStore, SequentialKeysBalanceAcrossShards) {
+  constexpr std::size_t kKeys = 10000;
+  for (const std::size_t shards : {std::size_t{4}, std::size_t{8}}) {
+    bool ran = false;
+    with_store("TATAS", {.shards = shards}, {}, [&](auto& store) {
+      ran = true;
+      auto h = store.make_handle();
+      std::vector<std::size_t> by_shard_of(shards, 0);
+      for (std::size_t i = 0; i < kKeys; ++i) {
+        const std::string key = "key:" + std::to_string(i);
+        ++by_shard_of[store.shard_of(key)];
+        store.set(h, key, "v");
+      }
+      const double mean = static_cast<double>(kKeys) / shards;
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(store.shard(s).size(), by_shard_of[s]) << "shard " << s;
+        EXPECT_NEAR(static_cast<double>(by_shard_of[s]), mean, 0.1 * mean)
+            << "shard " << s << " of " << shards;
+      }
+    });
+    EXPECT_TRUE(ran);
+  }
+}
+
 TEST(ShardedStoreConcurrent, DisjointWritersAcrossClusters) {
   cohort::numa::set_system_topology(cohort::numa::topology::synthetic(2));
   bool ran = false;
@@ -181,15 +209,14 @@ TEST(ShardedStoreConcurrent, EvictionBudgetHeldUnderContention) {
 
 // flush() walks every shard lock in turn while other handles keep reading
 // and writing -- the command layer's flush_all racing live traffic.  Run on
-// the adaptive lock with a hair-trigger monitor so the flusher's sweeps
-// overlap hot-swaps in flight: a flush must neither lose items it did not
-// race nor corrupt the counters, whichever rung each shard is on.
+// a fast-path cohort lock so the flusher's sweeps race both the fissile CAS
+// and the cohort slow path: a flush must neither lose items it did not race
+// nor corrupt the counters.
 TEST(ShardedStoreConcurrent, FlushRacesConcurrentGetSet) {
   cohort::numa::set_system_topology(cohort::numa::topology::synthetic(2));
   bool ran = false;
   with_store(
-      "adaptive", {.shards = 4, .buckets = 64},
-      {.adaptive = {.window = 32, .escalate_pct = 20, .hysteresis = 1}},
+      "C-BO-MCS-fp", {.shards = 4, .buckets = 64}, {},
       [&](auto& store) {
         ran = true;
         constexpr int kWriters = 3, kOps = 4000, kFlushes = 50;
