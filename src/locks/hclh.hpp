@@ -81,8 +81,16 @@ class hclh_lock {
       unref(pred);
     }
     // Cluster master: wait briefly so the local batch can grow, then splice
-    // everything currently in the local queue into the global queue.
-    for (int i = 0; i < combining_wait; ++i) cpu_relax();
+    // everything currently in the local queue into the global queue.  When
+    // the global queue is free the wait could only add latency, so skip it.
+    // (Acquire: the tail may have been allocated by another thread.  It
+    // may also be recycled under us; pool nodes are never freed, so the
+    // read is safe and at worst a stale hint.)
+    if ((global_tail_.load(std::memory_order_acquire)
+             ->word.load(std::memory_order_relaxed) &
+         smw_bit) != 0) {
+      for (int i = 0; i < combining_wait; ++i) cpu_relax();
+    }
     qnode* local_last = local_tail.load(std::memory_order_acquire);
     // The global queue takes a reference on the segment tail *before* TWS
     // becomes visible, so the local successor's unref cannot free it early.

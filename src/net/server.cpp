@@ -462,6 +462,10 @@ void kv_server::connection_readable(worker& w, connection& c) {
       c.last_activity = clock::now();
       c.parser.feed(buf, static_cast<std::size_t>(n));
       drain_parser(w, c);
+      // A short read emptied the socket.  Readiness is level-triggered
+      // in both poller backends, so later bytes and EOF are reported
+      // again; reading on to EAGAIN would only cost a syscall.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {

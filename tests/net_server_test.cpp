@@ -6,7 +6,10 @@
 // report, not a flake.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -316,6 +319,32 @@ TEST(Server, PipelinedRequestsAnswerInOrder) {
   EXPECT_EQ(line, "DELETED");
   ASSERT_TRUE(cl.read_line(&line));
   EXPECT_EQ(line, "NOT_FOUND");
+
+  // A burst larger than the server's 16 KiB read buffer in one send: a
+  // full-buffer read is followed by a short one, and the short read ends
+  // the read loop.  Every reply must still come back, in order.
+  constexpr int burst = 600;
+  std::string big;
+  for (int i = 0; i < burst; ++i) {
+    const std::string key = "b" + std::to_string(i);
+    const std::string val = "v" + std::to_string(100000 + i);
+    big += "set " + key + " 0 0 " + std::to_string(val.size()) + "\r\n" +
+           val + "\r\nget " + key + "\r\n";
+  }
+  ASSERT_GT(big.size(), 16384u);
+  ASSERT_TRUE(cl.send_raw(big));
+  for (int i = 0; i < burst; ++i) {
+    const std::string key = "b" + std::to_string(i);
+    const std::string val = "v" + std::to_string(100000 + i);
+    ASSERT_TRUE(cl.read_line(&line));
+    ASSERT_EQ(line, "STORED") << "request " << i;
+    ASSERT_TRUE(cl.read_line(&line));
+    ASSERT_EQ(line, "VALUE " + key + " 0 " + std::to_string(val.size()));
+    ASSERT_TRUE(cl.read_exact(val.size() + 2, &data));
+    ASSERT_EQ(data, val + "\r\n");
+    ASSERT_TRUE(cl.read_line(&line));
+    ASSERT_EQ(line, "END");
+  }
   cl.quit();
 }
 
@@ -504,6 +533,29 @@ TEST(Server, CleanShutdownWithLiveConnections) {
     EXPECT_EQ(out, "v");
   }
   f.reset();  // destructor path: no double-stop issues
+}
+
+TEST(Server, IdleWorkerStopsPolling) {
+  // Back-to-back requests open the io threads' poll-before-block window;
+  // once the load stops the window must close, so an idle server sleeps
+  // in the poller instead of spinning.
+  server_fixture f;
+  memcache_client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", f.server->port()));
+  ASSERT_EQ(cl.set("idle", "v"), cmd_status::stored);
+  std::string out;
+  for (int i = 0; i < 2000; ++i)
+    ASSERT_EQ(cl.get("idle", &out), cmd_status::hit);
+  const auto cpu_ms = [] {
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e3 +
+           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e3;
+  };
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(cpu_ms() - before, 30.0) << "ms of CPU over 300 ms idle";
+  cl.quit();
 }
 
 TEST(Server, PollFallbackBackendServes) {
